@@ -1,7 +1,6 @@
 //! From-scratch gradient all-reduce: an **ordered chain-in-ring**
 //! algorithm whose f32 accumulation order is *identical* to the
-//! single-process SGD pool's in-order merge, plus a binomial-tree
-//! variant for comparison.
+//! single-process SGD pool's in-order merge.
 //!
 //! # Why not the classic reduce-scatter ring
 //!
@@ -32,83 +31,64 @@
 //! sparsity sums) ride an [`Message::AccMeta`] frame and fold in the
 //! same order, so epoch statistics are bit-identical too.
 //!
-//! The binomial [`tree_allreduce`] halves latency at large `N` but sums
-//! subtree partials (a different, still deterministic association); the
-//! trainer exposes it for comparison and the tests pin its determinism
-//! and its exact agreement with the ring on integer-valued gradients.
+//! The fold itself is the pool's: samples are `spg_convnet`
+//! [`SampleResult`]s and the accumulator is its [`BatchAcc`]. The wire
+//! chunks a gradient as one flat vector (layers concatenated in order),
+//! so a chunk may span several per-layer tensors. A binomial tree would
+//! cut latency at large `N` but re-associates the sum; it is modeled
+//! (`spg-simcpu`'s `tree_allreduce_seconds`), not implemented.
 
 use std::io::{Read, Write};
+use std::ops::Range;
+
+use spg_convnet::sgd::{BatchAcc, SampleResult};
+use spg_tensor::Tensor;
 
 use crate::wire::{read_frame, write_frame, Message, WireError};
 use crate::ClusterError;
 
-/// Which all-reduce algorithm the distributed trainer runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllReduce {
-    /// Ordered chain-in-ring: bit-identical to the single-process pool.
-    Ring,
-    /// Binomial tree: lower latency, deterministic but re-associated
-    /// (not bit-identical to the pool). In-process transport only.
-    Tree,
+/// Floats per all-reduce wire chunk unless configured otherwise. Chunk
+/// size never changes the bits, only the framing.
+pub const DEFAULT_CHUNK_FLOATS: usize = 4096;
+
+/// The overlap of layer `[start, start + len)` with the flat element
+/// range `[off, off + n)`, as (range within the layer, range within the
+/// flat range).
+fn overlap(start: usize, len: usize, off: usize, n: usize) -> Option<(Range<usize>, Range<usize>)> {
+    let (lo, hi) = (off.max(start), (off + n).min(start + len));
+    (lo < hi).then(|| (lo - start..hi - start, lo - off..hi - off))
 }
 
-/// One sample's contribution to the batch accumulator, captured by the
-/// owning rank before the all-reduce starts.
-#[derive(Debug, Clone)]
-pub struct SampleGrad {
-    /// Flattened parameter gradients (all layers concatenated in layer
-    /// order).
-    pub grads: Vec<f32>,
-    /// Cross-entropy loss of the sample.
-    pub loss: f32,
-    /// Whether the prediction was correct.
-    pub correct: bool,
-    /// Backward gradient sparsity per conv layer.
-    pub sparsity: Vec<f64>,
+/// Calls `f(layer_piece, flat_range)` for each per-layer piece of the
+/// flat element range `[off, off + n)` of `grads`.
+fn for_each_piece(grads: &[Tensor], off: usize, n: usize, mut f: impl FnMut(&[f32], Range<usize>)) {
+    let mut start = 0;
+    for t in grads {
+        if let Some((layer, flat)) = overlap(start, t.len(), off, n) {
+            f(&t.as_slice()[layer], flat);
+        }
+        start += t.len();
+    }
 }
 
-/// The fully reduced batch accumulator — the distributed equivalent of
-/// the SGD pool's per-batch accumulator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchAcc {
-    /// Flattened summed gradients.
-    pub grads: Vec<f32>,
-    /// Summed losses (f64, folded in global sample order).
-    pub loss_sum: f64,
-    /// Correct-prediction count.
-    pub correct: u64,
-    /// Summed per-conv-layer sparsities.
-    pub sparsity_sums: Vec<f64>,
+/// Copies `data` over the flat element range starting at `off` of
+/// `grads`.
+fn scatter(grads: &mut [Tensor], off: usize, data: &[f32]) {
+    let mut start = 0;
+    for t in grads {
+        let len = t.len();
+        if let Some((layer, flat)) = overlap(start, len, off, data.len()) {
+            t.as_mut_slice()[layer].copy_from_slice(&data[flat]);
+        }
+        start += len;
+    }
 }
 
-impl BatchAcc {
-    /// A zeroed accumulator for `grad_len` parameters and `conv_count`
-    /// conv layers.
-    pub fn zeroed(grad_len: usize, conv_count: usize) -> Self {
-        BatchAcc {
-            grads: vec![0.0; grad_len],
-            loss_sum: 0.0,
-            correct: 0,
-            sparsity_sums: vec![0.0; conv_count],
-        }
-    }
-
-    /// Folds one sample's scalars in, in order — the same statements the
-    /// pool's `BatchAcc::absorb` executes.
-    fn fold_scalars(&mut self, s: &SampleGrad) {
-        self.loss_sum += f64::from(s.loss);
-        self.correct += u64::from(s.correct);
-        for (dst, &src) in self.sparsity_sums.iter_mut().zip(&s.sparsity) {
-            *dst += src;
-        }
-    }
-
-    /// Folds one sample's full gradient vector in.
-    fn fold_grads(&mut self, s: &SampleGrad) {
-        for (a, &g) in self.grads.iter_mut().zip(&s.grads) {
-            *a += g;
-        }
-    }
+/// Flat element range `[off, off + n)` of `grads` as one vector.
+fn gather(grads: &[Tensor], off: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0; n];
+    for_each_piece(grads, off, n, |piece, flat| out[flat].copy_from_slice(piece));
+    out
 }
 
 /// The two directed stream halves a rank holds in the ring topology.
@@ -153,11 +133,6 @@ fn check_seq(
     Ok(())
 }
 
-/// Number of chunks a `grad_len`-float vector splits into.
-fn chunk_count(grad_len: usize, chunk_floats: usize) -> usize {
-    grad_len.div_ceil(chunk_floats.max(1))
-}
-
 /// Sends the accumulator as one `AccMeta` plus chunked frames of
 /// `kind` (0x10 reduce / 0x11 broadcast).
 fn send_acc(
@@ -168,19 +143,12 @@ fn send_acc(
     acc: &BatchAcc,
     chunk_floats: usize,
 ) -> Result<(), WireError> {
-    write_frame(
-        tx,
-        &Message::AccMeta {
-            epoch,
-            batch,
-            loss_sum_bits: acc.loss_sum.to_bits(),
-            correct: acc.correct,
-            sparsity_bits: acc.sparsity_sums.iter().map(|s| s.to_bits()).collect(),
-        },
-    )?;
-    for (i, piece) in acc.grads.chunks(chunk_floats.max(1)).enumerate() {
+    write_frame(tx, &meta(epoch, batch, acc))?;
+    let grad_len: usize = acc.grads.iter().map(Tensor::len).sum();
+    let step = chunk_floats.max(1);
+    for (i, off) in (0..grad_len).step_by(step).enumerate() {
         let chunk = u32::try_from(i).expect("chunk index fits u32");
-        let data = piece.to_vec();
+        let data = gather(&acc.grads, off, step.min(grad_len - off));
         let msg = if broadcast {
             Message::BroadcastChunk { epoch, batch, chunk, data }
         } else {
@@ -195,21 +163,24 @@ fn send_acc(
     Ok(())
 }
 
-/// Receives an `AccMeta` frame, sequence-checked.
+/// Receives a sequence-checked `AccMeta` frame into `acc`'s scalars.
 fn recv_meta(
     rx: &mut dyn Read,
     rank: usize,
     epoch: u32,
     batch: u32,
-) -> Result<(f64, u64, Vec<f64>), ClusterError> {
+    acc: &mut BatchAcc,
+) -> Result<(), ClusterError> {
     match read_frame(rx).map_err(|e| ring_err(rank, epoch, batch, e))? {
         Message::AccMeta { epoch: ge, batch: gb, loss_sum_bits, correct, sparsity_bits } => {
             check_seq(rank, epoch, batch, ge, gb)?;
-            Ok((
-                f64::from_bits(loss_sum_bits),
-                correct,
-                sparsity_bits.into_iter().map(f64::from_bits).collect(),
-            ))
+            acc.loss_sum = f64::from_bits(loss_sum_bits);
+            acc.correct = usize::try_from(correct).map_err(|_| ClusterError::Protocol {
+                rank,
+                detail: format!("AccMeta correct count {correct} overflows usize"),
+            })?;
+            acc.sparsity_sums = sparsity_bits.into_iter().map(f64::from_bits).collect();
+            Ok(())
         }
         other => Err(ClusterError::Protocol {
             rank,
@@ -253,13 +224,24 @@ fn recv_chunk(
     Ok(data)
 }
 
+/// The `AccMeta` frame carrying `acc`'s scalars.
+fn meta(epoch: u32, batch: u32, acc: &BatchAcc) -> Message {
+    Message::AccMeta {
+        epoch,
+        batch,
+        loss_sum_bits: acc.loss_sum.to_bits(),
+        correct: acc.correct as u64,
+        sparsity_bits: acc.sparsity_sums.iter().map(|s| s.to_bits()).collect(),
+    }
+}
+
 /// Runs the ordered chain-in-ring all-reduce for one batch.
 ///
 /// `samples` are this rank's contributions in its local sample order;
-/// `grad_len` is the flattened gradient length (identical on every
-/// rank); `conv_count` the number of conv layers. Returns the finished
-/// accumulator, identical — bit for bit — on every rank, and equal to
-/// what the single-process pool computes for the same batch.
+/// `acc` (shaped for the network by [`BatchAcc::for_network`], identical
+/// on every rank) is reset and receives the finished accumulator —
+/// identical, bit for bit, on every rank, and equal to what the
+/// single-process pool computes for the same batch.
 ///
 /// # Errors
 ///
@@ -270,65 +252,50 @@ pub fn ring_allreduce(
     link: &mut RingLink<'_>,
     epoch: u32,
     batch: u32,
-    samples: &[SampleGrad],
-    grad_len: usize,
-    conv_count: usize,
+    samples: &[SampleResult],
+    acc: &mut BatchAcc,
     chunk_floats: usize,
-) -> Result<BatchAcc, ClusterError> {
+) -> Result<(), ClusterError> {
     let (rank, world) = (link.rank, link.world);
-    let mut acc = BatchAcc::zeroed(grad_len, conv_count);
-    let chunks = chunk_count(grad_len, chunk_floats);
-
-    if world == 1 {
-        for s in samples {
-            acc.fold_scalars(s);
-            acc.fold_grads(s);
-        }
-        return Ok(acc);
-    }
+    acc.reset();
+    let grad_len: usize = acc.grads.iter().map(Tensor::len).sum();
+    let step = chunk_floats.max(1);
+    let chunks = grad_len.div_ceil(step);
 
     // ---- Reduce leg: 0 → 1 → … → W-1, folding in rank order. ----
     if rank == 0 {
         for s in samples {
-            acc.fold_scalars(s);
-            acc.fold_grads(s);
+            acc.absorb(s.loss, s.correct, &s.param_grads, &s.grad_sparsity);
         }
-        send_acc(link.tx_next, false, epoch, batch, &acc, chunk_floats)
+        if world == 1 {
+            return Ok(());
+        }
+        send_acc(link.tx_next, false, epoch, batch, acc, chunk_floats)
             .map_err(|e| ring_err(rank, epoch, batch, e))?;
     } else {
-        let (loss_sum, correct, sparsity) = recv_meta(link.rx_prev, rank, epoch, batch)?;
-        acc.loss_sum = loss_sum;
-        acc.correct = correct;
-        acc.sparsity_sums = sparsity;
+        recv_meta(link.rx_prev, rank, epoch, batch, acc)?;
         for s in samples {
-            acc.fold_scalars(s);
+            acc.absorb_scalars(s.loss, s.correct, &s.grad_sparsity);
         }
         let last = rank == world - 1;
         if !last {
-            write_frame(
-                link.tx_next,
-                &Message::AccMeta {
-                    epoch,
-                    batch,
-                    loss_sum_bits: acc.loss_sum.to_bits(),
-                    correct: acc.correct,
-                    sparsity_bits: acc.sparsity_sums.iter().map(|s| s.to_bits()).collect(),
-                },
-            )
-            .map_err(|e| ring_err(rank, epoch, batch, e))?;
+            write_frame(link.tx_next, &meta(epoch, batch, acc))
+                .map_err(|e| ring_err(rank, epoch, batch, e))?;
         }
         for c in 0..chunks {
             let mut data = recv_chunk(link.rx_prev, rank, false, epoch, batch, c)?;
-            let off = c * chunk_floats.max(1);
+            let off = c * step;
             // Fold this rank's samples onto the incoming accumulator
             // slice, sample by sample: per element the addition order is
             // the global sample order, exactly the pool's association.
-            let len = data.len();
             for s in samples {
-                for (a, &g) in data.iter_mut().zip(&s.grads[off..off + len]) {
-                    *a += g;
-                }
+                for_each_piece(&s.param_grads, off, data.len(), |piece, flat| {
+                    for (a, &g) in data[flat].iter_mut().zip(piece) {
+                        *a += g;
+                    }
+                });
             }
+            scatter(&mut acc.grads, off, &data);
             if !last {
                 write_frame(
                     link.tx_next,
@@ -336,43 +303,30 @@ pub fn ring_allreduce(
                         epoch,
                         batch,
                         chunk: u32::try_from(c).expect("chunk index fits u32"),
-                        data: data.clone(),
+                        data,
                     },
                 )
                 .map_err(|e| ring_err(rank, epoch, batch, e))?;
                 spg_telemetry::record_counter("cluster.ring.reduce_chunks", 1);
             }
-            acc.grads[off..off + data.len()].copy_from_slice(&data);
         }
     }
 
     // ---- Broadcast leg: W-1 → 0 → 1 → … → W-2. ----
     if rank == world - 1 {
-        send_acc(link.tx_next, true, epoch, batch, &acc, chunk_floats)
+        send_acc(link.tx_next, true, epoch, batch, acc, chunk_floats)
             .map_err(|e| ring_err(rank, epoch, batch, e))?;
     } else {
         let forward = (rank + 1) % world != world - 1;
-        let (loss_sum, correct, sparsity) = recv_meta(link.rx_prev, rank, epoch, batch)?;
-        acc.loss_sum = loss_sum;
-        acc.correct = correct;
-        acc.sparsity_sums = sparsity;
+        recv_meta(link.rx_prev, rank, epoch, batch, acc)?;
         if forward {
-            write_frame(
-                link.tx_next,
-                &Message::AccMeta {
-                    epoch,
-                    batch,
-                    loss_sum_bits: acc.loss_sum.to_bits(),
-                    correct: acc.correct,
-                    sparsity_bits: acc.sparsity_sums.iter().map(|s| s.to_bits()).collect(),
-                },
-            )
-            .map_err(|e| ring_err(rank, epoch, batch, e))?;
+            write_frame(link.tx_next, &meta(epoch, batch, acc))
+                .map_err(|e| ring_err(rank, epoch, batch, e))?;
         }
         for c in 0..chunks {
             let data = recv_chunk(link.rx_prev, rank, true, epoch, batch, c)?;
-            let off = c * chunk_floats.max(1);
-            acc.grads[off..off + data.len()].copy_from_slice(&data);
+            let off = c * step;
+            scatter(&mut acc.grads, off, &data);
             if forward {
                 write_frame(
                     link.tx_next,
@@ -389,274 +343,55 @@ pub fn ring_allreduce(
         }
     }
     spg_telemetry::record_counter("cluster.ring.batches", 1);
-    Ok(acc)
-}
-
-/// A full-duplex frame link to one peer (tree topology).
-pub trait PeerLink {
-    /// Sends one frame.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Io`] on transport failure.
-    fn send(&mut self, msg: &Message) -> Result<(), WireError>;
-
-    /// Receives one frame.
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`] the codec or transport reports.
-    fn recv(&mut self) -> Result<Message, WireError>;
-}
-
-impl<S: Read + Write> PeerLink for S {
-    fn send(&mut self, msg: &Message) -> Result<(), WireError> {
-        write_frame(self, msg)
-    }
-    fn recv(&mut self) -> Result<Message, WireError> {
-        read_frame(self)
-    }
-}
-
-/// Receives a full accumulator (meta + chunks) from one tree peer.
-#[allow(clippy::too_many_arguments)]
-fn tree_recv_acc(
-    link: &mut dyn PeerLink,
-    rank: usize,
-    epoch: u32,
-    batch: u32,
-    grad_len: usize,
-    conv_count: usize,
-    chunk_floats: usize,
-    broadcast: bool,
-) -> Result<BatchAcc, ClusterError> {
-    let mut acc = BatchAcc::zeroed(grad_len, conv_count);
-    match link.recv().map_err(|e| ring_err(rank, epoch, batch, e))? {
-        Message::AccMeta { epoch: ge, batch: gb, loss_sum_bits, correct, sparsity_bits } => {
-            check_seq(rank, epoch, batch, ge, gb)?;
-            acc.loss_sum = f64::from_bits(loss_sum_bits);
-            acc.correct = correct;
-            acc.sparsity_sums = sparsity_bits.into_iter().map(f64::from_bits).collect();
-        }
-        other => {
-            return Err(ClusterError::Protocol {
-                rank,
-                detail: format!("expected AccMeta, got frame type {:#04x}", other.tag()),
-            })
-        }
-    }
-    for c in 0..chunk_count(grad_len, chunk_floats) {
-        let msg = link.recv().map_err(|e| ring_err(rank, epoch, batch, e))?;
-        let (ge, gb, gc, data, got_b) = match msg {
-            Message::ReduceChunk { epoch, batch, chunk, data } => {
-                (epoch, batch, chunk, data, false)
-            }
-            Message::BroadcastChunk { epoch, batch, chunk, data } => {
-                (epoch, batch, chunk, data, true)
-            }
-            other => {
-                return Err(ClusterError::Protocol {
-                    rank,
-                    detail: format!("expected chunk, got frame type {:#04x}", other.tag()),
-                })
-            }
-        };
-        check_seq(rank, epoch, batch, ge, gb)?;
-        if got_b != broadcast || gc as usize != c {
-            return Err(ClusterError::Protocol {
-                rank,
-                detail: format!("tree chunk sequence violation at chunk {c}"),
-            });
-        }
-        let off = c * chunk_floats.max(1);
-        acc.grads[off..off + data.len()].copy_from_slice(&data);
-    }
-    Ok(acc)
-}
-
-/// Sends a full accumulator to one tree peer.
-fn tree_send_acc(
-    link: &mut dyn PeerLink,
-    rank: usize,
-    epoch: u32,
-    batch: u32,
-    acc: &BatchAcc,
-    chunk_floats: usize,
-    broadcast: bool,
-) -> Result<(), ClusterError> {
-    link.send(&Message::AccMeta {
-        epoch,
-        batch,
-        loss_sum_bits: acc.loss_sum.to_bits(),
-        correct: acc.correct,
-        sparsity_bits: acc.sparsity_sums.iter().map(|s| s.to_bits()).collect(),
-    })
-    .map_err(|e| ring_err(rank, epoch, batch, e))?;
-    for (i, piece) in acc.grads.chunks(chunk_floats.max(1)).enumerate() {
-        let chunk = u32::try_from(i).expect("chunk index fits u32");
-        let data = piece.to_vec();
-        let msg = if broadcast {
-            Message::BroadcastChunk { epoch, batch, chunk, data }
-        } else {
-            Message::ReduceChunk { epoch, batch, chunk, data }
-        };
-        link.send(&msg).map_err(|e| ring_err(rank, epoch, batch, e))?;
-    }
     Ok(())
-}
-
-/// Binomial-tree all-reduce: reduce to rank 0 along a binomial tree,
-/// then broadcast back down it. `links[p]` must hold a live link to
-/// peer `p` for every peer this rank exchanges with (ranks at distance
-/// a power of two).
-///
-/// Deterministic for a fixed world size, but the fold sums subtree
-/// *partials* — a different f32 association than the pool's in-order
-/// merge, so results are **not** bit-identical to [`ring_allreduce`]
-/// except on exactly-representable data (pinned by tests). Offered for
-/// latency comparison, matching the `spg-simcpu` interconnect model.
-///
-/// # Errors
-///
-/// [`ClusterError::RingFault`] when a peer drops mid-reduce;
-/// [`ClusterError::Protocol`] on sequence violations;
-/// [`ClusterError::Config`] when a needed peer link is missing.
-#[allow(clippy::too_many_arguments)]
-pub fn tree_allreduce(
-    rank: usize,
-    world: usize,
-    links: &mut [Option<Box<dyn PeerLink + Send>>],
-    epoch: u32,
-    batch: u32,
-    samples: &[SampleGrad],
-    grad_len: usize,
-    conv_count: usize,
-    chunk_floats: usize,
-) -> Result<BatchAcc, ClusterError> {
-    let mut acc = BatchAcc::zeroed(grad_len, conv_count);
-    for s in samples {
-        acc.fold_scalars(s);
-        acc.fold_grads(s);
-    }
-    let need_link = |links: &mut [Option<Box<dyn PeerLink + Send>>], peer: usize| {
-        if peer >= links.len() || links[peer].is_none() {
-            return Err(ClusterError::Config {
-                detail: format!("tree all-reduce: rank {rank} has no link to peer {peer}"),
-            });
-        }
-        Ok(())
-    };
-
-    // Reduce toward rank 0: at level `mask`, ranks divisible by `mask`
-    // participate; the one with the `mask` bit set sends its partial up
-    // and goes passive.
-    let mut mask = 1usize;
-    while mask < world {
-        if rank & (mask - 1) == 0 {
-            if rank & mask != 0 {
-                let peer = rank - mask;
-                need_link(links, peer)?;
-                let link = links[peer].as_mut().expect("checked above");
-                tree_send_acc(link.as_mut(), rank, epoch, batch, &acc, chunk_floats, false)?;
-                break;
-            } else if rank + mask < world {
-                let peer = rank + mask;
-                need_link(links, peer)?;
-                let link = links[peer].as_mut().expect("checked above");
-                let other = tree_recv_acc(
-                    link.as_mut(),
-                    rank,
-                    epoch,
-                    batch,
-                    grad_len,
-                    conv_count,
-                    chunk_floats,
-                    false,
-                )?;
-                // Pairwise partial fold: subtree order, not sample order.
-                acc.loss_sum += other.loss_sum;
-                acc.correct += other.correct;
-                for (a, b) in acc.sparsity_sums.iter_mut().zip(&other.sparsity_sums) {
-                    *a += b;
-                }
-                for (a, b) in acc.grads.iter_mut().zip(&other.grads) {
-                    *a += b;
-                }
-            }
-        }
-        mask <<= 1;
-    }
-
-    // Broadcast from rank 0 back down the same tree.
-    let mut mask = 1usize;
-    while mask < world {
-        mask <<= 1;
-    }
-    mask >>= 1;
-    while mask >= 1 {
-        if rank & (mask - 1) == 0 {
-            if rank & mask == 0 {
-                if rank + mask < world {
-                    let peer = rank + mask;
-                    need_link(links, peer)?;
-                    let link = links[peer].as_mut().expect("checked above");
-                    tree_send_acc(link.as_mut(), rank, epoch, batch, &acc, chunk_floats, true)?;
-                }
-            } else {
-                let peer = rank - mask;
-                need_link(links, peer)?;
-                let link = links[peer].as_mut().expect("checked above");
-                acc = tree_recv_acc(
-                    link.as_mut(),
-                    rank,
-                    epoch,
-                    batch,
-                    grad_len,
-                    conv_count,
-                    chunk_floats,
-                    true,
-                )?;
-            }
-        }
-        mask >>= 1;
-    }
-    spg_telemetry::record_counter("cluster.tree.batches", 1);
-    Ok(acc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use spg_convnet::layer::{ConvLayer, FcLayer, MaxPoolLayer, ReluLayer};
+    use spg_convnet::{ConvSpec, Network};
+    use spg_tensor::Shape3;
     use std::os::unix::net::UnixStream;
 
+    /// Conv (40 params), two parameter-free layers, fc (111 params): a
+    /// gradient whose chunks straddle layer boundaries and empty layers.
+    fn net() -> Network {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let spec = ConvSpec::new(1, 8, 8, 4, 3, 3, 1, 1).unwrap();
+        let out = spec.output_shape();
+        Network::new(vec![
+            Box::new(ConvLayer::new(spec, &mut rng)),
+            Box::new(ReluLayer::new(out.len())),
+            Box::new(MaxPoolLayer::new(Shape3::new(out.c, out.h, out.w), 2).unwrap()),
+            Box::new(FcLayer::new(4 * 3 * 3, 3, &mut rng)),
+        ])
+        .unwrap()
+    }
+
     /// Synthetic per-rank sample blocks: `world` ranks, `per_rank`
-    /// samples each, `grad_len` parameters.
-    fn blocks(
-        world: usize,
-        per_rank: usize,
-        grad_len: usize,
-        integral: bool,
-    ) -> Vec<Vec<SampleGrad>> {
+    /// samples each, with non-integral gradients so that any change of
+    /// association shows in the bits.
+    fn blocks(net: &Network, world: usize, per_rank: usize) -> Vec<Vec<SampleResult>> {
         (0..world)
             .map(|w| {
                 (0..per_rank)
                     .map(|j| {
                         let g = (w * per_rank + j) as f32;
-                        let grads: Vec<f32> = (0..grad_len)
-                            .map(|e| {
-                                if integral {
-                                    (e as f32) + g
-                                } else {
-                                    (e as f32).sin() * 0.25 + g * 0.001
-                                }
-                            })
-                            .collect();
-                        SampleGrad {
-                            grads,
-                            loss: 0.5 + g * 0.01,
-                            correct: j % 2 == 0,
-                            sparsity: vec![0.25 + g as f64 * 0.001],
+                        let mut s = SampleResult::for_network(net);
+                        let mut e = 0.0f32;
+                        for t in &mut s.param_grads {
+                            for v in t.iter_mut() {
+                                *v = e.sin() * 0.25 + g * 0.001;
+                                e += 1.0;
+                            }
                         }
+                        s.loss = 0.5 + g * 0.01;
+                        s.correct = j % 2 == 0;
+                        s.grad_sparsity.fill(0.25 + f64::from(g) * 0.001);
+                        s
                     })
                     .collect()
             })
@@ -664,19 +399,16 @@ mod tests {
     }
 
     /// The oracle: the single-process pool's fold (global sample order).
-    fn sequential_fold(blocks: &[Vec<SampleGrad>], grad_len: usize) -> BatchAcc {
-        let mut acc = BatchAcc::zeroed(grad_len, 1);
-        for block in blocks {
-            for s in block {
-                acc.fold_scalars(s);
-                acc.fold_grads(s);
-            }
+    fn sequential_fold(net: &Network, blocks: &[Vec<SampleResult>]) -> BatchAcc {
+        let mut acc = BatchAcc::for_network(net);
+        for s in blocks.iter().flatten() {
+            acc.absorb(s.loss, s.correct, &s.param_grads, &s.grad_sparsity);
         }
         acc
     }
 
     /// Runs the ring all-reduce across `world` threads over socketpairs.
-    fn run_ring(blocks: Vec<Vec<SampleGrad>>, grad_len: usize, chunk: usize) -> Vec<BatchAcc> {
+    fn run_ring(net: &Network, blocks: Vec<Vec<SampleResult>>, chunk: usize) -> Vec<BatchAcc> {
         let world = blocks.len();
         // Edge r -> (r+1) % world: pair.0 is r's tx, pair.1 is next's rx.
         let mut txs: Vec<Option<UnixStream>> = Vec::new();
@@ -694,9 +426,11 @@ mod tests {
                 .map(|((rank, samples), (tx, rx))| {
                     let mut tx = tx.take().unwrap();
                     let mut rx = rx.take().unwrap();
+                    let mut acc = BatchAcc::for_network(net);
                     scope.spawn(move || {
                         let mut link = RingLink { rank, world, rx_prev: &mut rx, tx_next: &mut tx };
-                        ring_allreduce(&mut link, 1, 0, &samples, grad_len, 1, chunk).unwrap()
+                        ring_allreduce(&mut link, 1, 0, &samples, &mut acc, chunk).unwrap();
+                        acc
                     })
                 })
                 .collect();
@@ -706,12 +440,12 @@ mod tests {
 
     #[test]
     fn ring_matches_sequential_fold_bit_for_bit() {
+        let net = net();
         for world in [1usize, 2, 3, 5] {
             for chunk in [3usize, 16, 1024] {
-                let grad_len = 37;
-                let blocks = blocks(world, 4, grad_len, false);
-                let expect = sequential_fold(&blocks, grad_len);
-                let got = run_ring(blocks, grad_len, chunk);
+                let blocks = blocks(&net, world, 4);
+                let expect = sequential_fold(&net, &blocks);
+                let got = run_ring(&net, blocks, chunk);
                 for (rank, acc) in got.iter().enumerate() {
                     assert_eq!(
                         acc.loss_sum.to_bits(),
@@ -720,7 +454,9 @@ mod tests {
                     );
                     assert_eq!(acc.correct, expect.correct);
                     for (a, b) in acc.grads.iter().zip(&expect.grads) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "world {world} chunk {chunk}");
+                        for (a, b) in a.iter().zip(b.iter()) {
+                            assert_eq!(a.to_bits(), b.to_bits(), "world {world} chunk {chunk}");
+                        }
                     }
                     for (a, b) in acc.sparsity_sums.iter().zip(&expect.sparsity_sums) {
                         assert_eq!(a.to_bits(), b.to_bits());
@@ -730,72 +466,21 @@ mod tests {
         }
     }
 
-    /// Full-duplex socketpair mesh for `world` ranks.
-    fn mesh(world: usize) -> Vec<Vec<Option<Box<dyn PeerLink + Send>>>> {
-        let mut links: Vec<Vec<Option<Box<dyn PeerLink + Send>>>> =
-            (0..world).map(|_| (0..world).map(|_| None).collect()).collect();
-        let pairs = (0..world).flat_map(|a| (a + 1..world).map(move |b| (a, b)));
-        for (a, b) in pairs {
-            let (sa, sb) = UnixStream::pair().expect("socketpair");
-            links[a][b] = Some(Box::new(sa));
-            links[b][a] = Some(Box::new(sb));
-        }
-        links
-    }
-
-    fn run_tree(blocks: Vec<Vec<SampleGrad>>, grad_len: usize, chunk: usize) -> Vec<BatchAcc> {
-        let world = blocks.len();
-        let meshes = mesh(world);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = blocks
-                .into_iter()
-                .zip(meshes)
-                .enumerate()
-                .map(|(rank, (samples, mut links))| {
-                    scope.spawn(move || {
-                        tree_allreduce(rank, world, &mut links, 1, 0, &samples, grad_len, 1, chunk)
-                            .unwrap()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    }
-
-    #[test]
-    fn tree_is_deterministic_and_exact_on_integral_data() {
-        // On integer-valued f32 data (exactly representable sums) the
-        // association difference vanishes: tree == ring == sequential.
-        for world in [1usize, 2, 4, 5] {
-            let grad_len = 19;
-            let data = blocks(world, 2, grad_len, true);
-            let expect = sequential_fold(&data, grad_len);
-            let got = run_tree(data.clone(), grad_len, 7);
-            let again = run_tree(data, grad_len, 7);
-            for (acc, rerun) in got.iter().zip(&again) {
-                assert_eq!(acc, rerun, "tree run not deterministic");
-                assert_eq!(acc.loss_sum.to_bits(), expect.loss_sum.to_bits());
-                assert_eq!(acc.correct, expect.correct);
-                for (a, b) in acc.grads.iter().zip(&expect.grads) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "world {world}");
-                }
-            }
-        }
-    }
-
     #[test]
     fn sequence_mismatch_is_a_typed_protocol_error() {
+        let net = net();
         let (mut a, mut b) = UnixStream::pair().unwrap();
         // Rank 1 of 2 expects epoch 1 / batch 0; its "previous rank"
         // sends epoch 9 instead.
+        let acc = BatchAcc::for_network(&net);
         let sender = std::thread::spawn(move || {
-            let acc = BatchAcc::zeroed(4, 1);
             send_acc(&mut a, false, 9, 0, &acc, 4).unwrap();
         });
         let err = {
             let (mut dead_tx, _keep) = UnixStream::pair().unwrap();
             let mut link = RingLink { rank: 1, world: 2, rx_prev: &mut b, tx_next: &mut dead_tx };
-            ring_allreduce(&mut link, 1, 0, &[], 4, 1, 4).unwrap_err()
+            let mut acc = BatchAcc::for_network(&net);
+            ring_allreduce(&mut link, 1, 0, &[], &mut acc, 4).unwrap_err()
         };
         sender.join().unwrap();
         assert!(
@@ -810,7 +495,8 @@ mod tests {
         drop(a); // Peer dies before sending anything.
         let (mut dead_tx, _keep) = UnixStream::pair().unwrap();
         let mut link = RingLink { rank: 1, world: 2, rx_prev: &mut b, tx_next: &mut dead_tx };
-        let err = ring_allreduce(&mut link, 3, 7, &[], 4, 1, 4).unwrap_err();
+        let mut acc = BatchAcc::for_network(&net());
+        let err = ring_allreduce(&mut link, 3, 7, &[], &mut acc, 4).unwrap_err();
         match err {
             ClusterError::RingFault { rank, epoch, batch, .. } => {
                 assert_eq!((rank, epoch, batch), (1, 3, 7));

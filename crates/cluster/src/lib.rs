@@ -10,12 +10,13 @@
 //!   per-shard bounded queues (`spg_serve` backpressure semantics),
 //!   health-based eviction, and budgeted respawn.
 //! - **Training** ([`allreduce`], [`train`]): synchronous data-parallel
-//!   SGD whose gradient all-reduce is a from-scratch chunked ring (with
-//!   a binomial-tree variant for comparison). The ring folds sample
-//!   gradients in global sample order, so epoch losses are
-//!   **bit-identical** to the single-process `Trainer` pool for any
-//!   worker count, and mid-all-reduce faults replay deterministically
-//!   from committed rank state.
+//!   SGD whose gradient all-reduce is a from-scratch chunked ring. Each
+//!   rank runs the `Trainer`'s own per-batch step from
+//!   [`spg_convnet::sgd`]; the ring folds sample gradients in global
+//!   sample order, so epoch losses are **bit-identical** to the
+//!   single-process `Trainer` pool for any worker count, and
+//!   mid-all-reduce faults replay deterministically from committed rank
+//!   state.
 //!
 //! # Example
 //!
@@ -61,7 +62,7 @@ pub mod shard;
 pub mod train;
 pub mod wire;
 
-pub use allreduce::{ring_allreduce, tree_allreduce, AllReduce, BatchAcc, RingLink, SampleGrad};
+pub use allreduce::{ring_allreduce, RingLink, DEFAULT_CHUNK_FLOATS};
 pub use hash::HashRing;
 pub use router::{
     InProcShard, PendingRoute, RemoteShard, RouteReply, Router, RouterConfig, ShardBackend,
@@ -127,6 +128,14 @@ pub enum ClusterError {
         /// Best-effort description.
         message: String,
     },
+    /// A training rank panicked (in its network factory or its training
+    /// loop). Charged to the replay budget like a dropped rank.
+    RankPanic {
+        /// The rank that panicked.
+        rank: usize,
+        /// The panic message.
+        message: String,
+    },
     /// A peer violated the all-reduce sequence (wrong epoch/batch/chunk
     /// ordering) — a bug or version skew, not a transport fault.
     Protocol {
@@ -183,6 +192,9 @@ impl std::fmt::Display for ClusterError {
             }
             ClusterError::RingFault { rank, epoch, batch, message } => {
                 write!(f, "rank {rank} ring fault at epoch {epoch} batch {batch}: {message}")
+            }
+            ClusterError::RankPanic { rank, message } => {
+                write!(f, "rank {rank} panicked: {message}")
             }
             ClusterError::Protocol { rank, detail } => {
                 write!(f, "rank {rank} protocol violation: {detail}")
@@ -260,8 +272,6 @@ pub struct ClusterConfig {
     pub restart_backoff: Duration,
     /// Shard/rank connectivity.
     pub transport: Transport,
-    /// Gradient all-reduce algorithm.
-    pub allreduce: AllReduce,
     /// Floats per all-reduce wire chunk.
     pub chunk_floats: usize,
 }
@@ -277,8 +287,7 @@ impl Default for ClusterConfig {
             restart_budget: 3,
             restart_backoff: Duration::from_millis(5),
             transport: Transport::InProc,
-            allreduce: AllReduce::Ring,
-            chunk_floats: 4096,
+            chunk_floats: DEFAULT_CHUNK_FLOATS,
         }
     }
 }
@@ -372,13 +381,6 @@ impl ClusterBuilder {
     #[must_use]
     pub fn transport(mut self, transport: Transport) -> Self {
         self.config.transport = transport;
-        self
-    }
-
-    /// Gradient all-reduce algorithm.
-    #[must_use]
-    pub fn allreduce(mut self, algo: AllReduce) -> Self {
-        self.config.allreduce = algo;
         self
     }
 
@@ -573,7 +575,7 @@ impl Cluster {
     }
 
     /// Runs synchronous data-parallel SGD over `shards` ranks with the
-    /// configured all-reduce; epoch losses are bit-identical to
+    /// ring all-reduce; epoch losses are bit-identical to
     /// [`spg_convnet::Trainer`] on the same seed (pinned by tests).
     ///
     /// Requires a [`factory`](ClusterBuilder::factory) and the
@@ -583,8 +585,9 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Typed cluster faults once the replay budget is spent, under
-    /// [`spg_error::ErrorKind::Cluster`].
+    /// Typed cluster faults once the replay budget is spent (a
+    /// panicking rank included), and [`ClusterError::Config`] for an
+    /// invalid `trainer`, under [`spg_error::ErrorKind::Cluster`].
     pub fn train(
         &self,
         data: &Dataset,
@@ -606,7 +609,6 @@ impl Cluster {
         }
         let opts = InProcTrainOptions {
             world: self.config.shards,
-            algo: self.config.allreduce,
             chunk_floats: self.config.chunk_floats,
             restart_budget: self.config.restart_budget,
             restart_backoff: self.config.restart_backoff,

@@ -1,14 +1,15 @@
 //! Synchronous data-parallel SGD across ranks: every rank processes its
 //! contiguous block of each global batch, the gradients all-reduce over
-//! the ring (or tree), and **every rank applies the identical update**
-//! — so weights never travel after startup and losses are bit-identical
+//! the ordered ring, and **every rank applies the identical update** —
+//! so weights never travel after startup and losses are bit-identical
 //! to the single-process `spg_convnet::Trainer` on the same seed.
 //!
-//! The per-batch arithmetic replicates `Trainer::train_inline` *exactly*
-//! (same shuffle per epoch, same per-sample forward/backward, same f32
-//! accumulation association via the ordered ring, same momentum update
-//! expression), which the `train_cluster_bitident` tests pin for 1, 2,
-//! 3, and 4 ranks against the pool.
+//! A rank runs the Trainer's own per-batch step from
+//! [`spg_convnet::sgd`] — the per-epoch shuffle, the per-sample forward
+//! and backward, the update and the epoch statistics — and differs from
+//! the pool only in where the in-order batch fold happens: inside
+//! [`ring_allreduce`], in global sample order. The tests below pin the
+//! result against the pool for 1, 2, 3 and 4 ranks.
 //!
 //! # Fault recovery
 //!
@@ -21,19 +22,21 @@
 //! respawns every rank from it, and resumes at the faulted batch.
 //! Because the resumed fold is the same arithmetic from the same state,
 //! the recovered run's losses are bit-identical to a fault-free run —
-//! the distributed analogue of PR 4's in-order sample replay.
+//! the distributed analogue of the pool's in-order sample replay.
 
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
 use spg_convnet::data::Dataset;
+use spg_convnet::sgd::{
+    apply_batch, conv_layer_indices, process_sample, shuffle_for_epoch, zero_param_grads, BatchAcc,
+    EpochAcc, SampleResult,
+};
 use spg_convnet::workspace::Workspace;
 use spg_convnet::{io, EpochStats, Network, TrainerConfig};
 use spg_tensor::Tensor;
 
-use crate::allreduce::{
-    ring_allreduce, tree_allreduce, AllReduce, BatchAcc, PeerLink, RingLink, SampleGrad,
-};
+use crate::allreduce::{ring_allreduce, RingLink, DEFAULT_CHUNK_FLOATS};
 use crate::ClusterError;
 
 /// A deterministic mid-all-reduce fault drill: the named rank drops its
@@ -76,8 +79,6 @@ pub enum Comm {
         /// Stream to the next rank.
         tx_next: Box<dyn Write + Send>,
     },
-    /// Full(-enough) mesh for the binomial tree, indexed by peer rank.
-    Mesh(Vec<Option<Box<dyn PeerLink + Send>>>),
 }
 
 /// Per-rank training options.
@@ -87,9 +88,6 @@ pub struct RankOptions {
     pub rank: usize,
     /// Total rank count.
     pub world: usize,
-    /// All-reduce algorithm (must match [`Comm`]: ring wants
-    /// [`Comm::Ring`], tree wants [`Comm::Mesh`]).
-    pub algo: AllReduce,
     /// Floats per wire chunk.
     pub chunk_floats: usize,
     /// Optional deterministic fault drill.
@@ -133,7 +131,7 @@ impl RankState {
             next_epoch: 1,
             next_batch: 0,
             weights,
-            velocity: net.layers().iter().map(|l| Tensor::zeros(l.param_count())).collect(),
+            velocity: zero_param_grads(net),
             epoch_loss_sum: 0.0,
             epoch_correct: 0,
             epoch_sparsity_sums: vec![0.0; conv_layer_indices(net).len()],
@@ -141,19 +139,43 @@ impl RankState {
             stats: Vec::new(),
         }
     }
-}
 
-/// Indices of the conv layers (the sparsity series), as the pool
-/// computes them.
-fn conv_layer_indices(net: &Network) -> Vec<usize> {
-    net.layers().iter().enumerate().filter_map(|(i, l)| l.conv_spec().map(|_| i)).collect()
-}
+    /// The partial epoch accumulator to resume `epoch` at: the committed
+    /// one mid-epoch, a zeroed one at an epoch boundary.
+    fn epoch_acc(&self, start_batch: usize) -> EpochAcc {
+        let mut acc = EpochAcc::new(self.epoch_sparsity_sums.len());
+        if start_batch > 0 {
+            acc.loss_sum = self.epoch_loss_sum;
+            acc.correct = self.epoch_correct;
+            acc.sparsity_sums.clone_from(&self.epoch_sparsity_sums);
+            acc.samples_seen = self.epoch_samples;
+        }
+        acc
+    }
 
-/// Per-layer parameter counts and the flattened total.
-fn param_layout(net: &Network) -> (Vec<usize>, usize) {
-    let counts: Vec<usize> = net.layers().iter().map(|l| l.param_count()).collect();
-    let total = counts.iter().sum();
-    (counts, total)
+    /// Commits everything a replay needs to resume *after* batch
+    /// `batch_no` of `epoch`.
+    fn commit(
+        &mut self,
+        net: &Network,
+        velocity: &[Tensor],
+        epoch_acc: &EpochAcc,
+        epoch: usize,
+        batch_no: usize,
+    ) {
+        self.committed_batches += 1;
+        self.next_epoch = epoch;
+        self.next_batch = batch_no + 1;
+        self.weights.clear();
+        io::save_weights(net, &mut self.weights).expect("in-memory weight snapshot");
+        for (dst, src) in self.velocity.iter_mut().zip(velocity) {
+            dst.as_mut_slice().copy_from_slice(src.as_slice());
+        }
+        self.epoch_loss_sum = epoch_acc.loss_sum;
+        self.epoch_correct = epoch_acc.correct;
+        self.epoch_sparsity_sums.clone_from(&epoch_acc.sparsity_sums);
+        self.epoch_samples = epoch_acc.samples_seen;
+    }
 }
 
 /// This rank's contiguous block `[start, end)` of a `batch_len`-sample
@@ -167,63 +189,6 @@ pub fn block_bounds(batch_len: usize, world: usize, rank: usize) -> (usize, usiz
     (start, start + len)
 }
 
-/// One sample forward + backward — the pool's `process_sample`, via the
-/// public `Network` API.
-fn process_sample(net: &Network, data: &Dataset, i: usize, ws: &mut Workspace) -> (f32, bool) {
-    net.forward_into(data.image(i).as_slice(), ws);
-    let label = data.label(i);
-    let (loss, loss_grad) = Network::loss_and_gradient(ws.trace.logits(), label);
-    let logits = ws.trace.logits();
-    let pred = (0..logits.len()).max_by(|&a, &b| logits[a].total_cmp(&logits[b])).unwrap_or(0);
-    net.backward_into(loss_grad.as_slice(), ws);
-    (loss, pred == label)
-}
-
-/// Flattens the workspace's per-layer gradients in layer order.
-fn flatten_grads(ws: &Workspace, out: &mut Vec<f32>) {
-    out.clear();
-    for g in &ws.param_grads {
-        out.extend_from_slice(g.as_slice());
-    }
-}
-
-/// Splits a flattened gradient vector back into per-layer tensors.
-fn unflatten(flat: &[f32], counts: &[usize]) -> Vec<Tensor> {
-    let mut out = Vec::with_capacity(counts.len());
-    let mut off = 0;
-    for &n in counts {
-        let mut t = Tensor::zeros(n);
-        t.as_mut_slice().copy_from_slice(&flat[off..off + n]);
-        off += n;
-        out.push(t);
-    }
-    out
-}
-
-/// Applies one reduced batch — the exact update expressions of the
-/// pool's `apply_batch`, so every f32 rounding matches.
-fn apply_batch(
-    net: &mut Network,
-    velocity: &mut [Tensor],
-    acc: &BatchAcc,
-    batch_len: usize,
-    counts: &[usize],
-    trainer: &TrainerConfig,
-) {
-    let grads = unflatten(&acc.grads, counts);
-    let scale = batch_len as f32;
-    if trainer.momentum > 0.0 {
-        for (v, g) in velocity.iter_mut().zip(&grads) {
-            for (v, g) in v.iter_mut().zip(g.iter()) {
-                *v = trainer.momentum * *v + g / scale;
-            }
-        }
-        net.apply_gradient_slices(velocity, trainer.learning_rate, 1.0);
-    } else {
-        net.apply_gradient_slices(&grads, trainer.learning_rate, scale);
-    }
-}
-
 /// Runs one rank of the synchronous data-parallel training loop.
 ///
 /// `state` carries committed progress in and out: on success it holds
@@ -235,8 +200,8 @@ fn apply_batch(
 ///
 /// [`ClusterError::RingFault`] when a peer drops mid-all-reduce (or
 /// this rank's own fault drill fires), [`ClusterError::Protocol`] on
-/// wire sequence violations, [`ClusterError::Config`] on a
-/// topology/config mismatch.
+/// wire sequence violations, [`ClusterError::Config`] on an invalid
+/// `trainer` or a rank outside the world.
 pub fn run_rank(
     net: &mut Network,
     data: &mut Dataset,
@@ -245,58 +210,49 @@ pub fn run_rank(
     comm: &mut Comm,
     state: &mut RankState,
 ) -> Result<Vec<EpochStats>, ClusterError> {
+    trainer.validate().map_err(|detail| ClusterError::Config { detail })?;
     if opts.world == 0 || opts.rank >= opts.world {
         return Err(ClusterError::Config {
             detail: format!("rank {} out of range for world {}", opts.rank, opts.world),
-        });
-    }
-    if matches!((&*comm, opts.algo), (Comm::Mesh(_), AllReduce::Ring))
-        || matches!((&*comm, opts.algo), (Comm::Ring { .. }, AllReduce::Tree))
-    {
-        return Err(ClusterError::Config {
-            detail: "all-reduce algorithm does not match the communication fabric".to_string(),
         });
     }
 
     io::load_weights(net, state.weights.as_slice())
         .map_err(|e| ClusterError::Config { detail: format!("restoring rank state: {e}") })?;
     let mut velocity = state.velocity.clone();
-    let conv_layers = conv_layer_indices(net);
-    let (counts, grad_len) = param_layout(net);
     let mut ws = Workspace::for_network(net);
-    let mut flat = Vec::with_capacity(grad_len);
+    let mut acc = BatchAcc::for_network(net);
+    // This rank's block of every batch, recycled batch after batch.
+    let mut block: Vec<SampleResult> = (0..trainer.batch_size.div_ceil(opts.world))
+        .map(|_| SampleResult::for_network(net))
+        .collect();
+    let (mut solo_rx, mut solo_tx) = (std::io::empty(), std::io::sink());
+    let mut link = match comm {
+        Comm::Solo => RingLink { rank: 0, world: 1, rx_prev: &mut solo_rx, tx_next: &mut solo_tx },
+        Comm::Ring { rx_prev, tx_next } => RingLink {
+            rank: opts.rank,
+            world: opts.world,
+            rx_prev: rx_prev.as_mut(),
+            tx_next: tx_next.as_mut(),
+        },
+    };
 
     let resume_epoch = state.next_epoch;
-    // Epoch shuffles permute the dataset *in place*, composing across
-    // epochs; `data` arrives in original order, so a resume must replay
-    // the completed epochs' permutations first.
+    // `data` arrives in original order and epoch shuffles compose, so a
+    // resume replays the completed epochs' permutations first.
     for e in 1..resume_epoch {
-        data.shuffle(trainer.shuffle_seed.wrapping_add(e as u64));
+        shuffle_for_epoch(data, trainer, e);
     }
     for epoch in resume_epoch..=trainer.epochs {
         let _telemetry = spg_telemetry::scope("cluster.trainer", spg_telemetry::Phase::Other);
-        data.shuffle(trainer.shuffle_seed.wrapping_add(epoch as u64));
+        shuffle_for_epoch(data, trainer, epoch);
         let start = Instant::now();
         let start_batch = if epoch == resume_epoch { state.next_batch } else { 0 };
-        // Mid-epoch resume restores the partial epoch accumulator; a
-        // fresh epoch starts from zero.
-        let (mut loss_sum, mut correct, mut sparsity_sums, mut samples_seen) = if start_batch > 0 {
-            (
-                state.epoch_loss_sum,
-                state.epoch_correct,
-                state.epoch_sparsity_sums.clone(),
-                state.epoch_samples,
-            )
-        } else {
-            (0.0, 0, vec![0.0; conv_layers.len()], 0)
-        };
+        let mut epoch_acc = state.epoch_acc(start_batch);
 
         let indices: Vec<usize> = (0..data.len()).collect();
         let epoch_u32 = u32::try_from(epoch).expect("epoch fits u32");
-        for (batch_no, batch) in indices.chunks(trainer.batch_size).enumerate() {
-            if batch_no < start_batch {
-                continue;
-            }
+        for (batch_no, batch) in indices.chunks(trainer.batch_size).enumerate().skip(start_batch) {
             if let Some(f) = opts.fault {
                 if f.rank == opts.rank && f.epoch == epoch && f.batch == batch_no {
                     // Dropping out here (links close when the caller
@@ -311,102 +267,27 @@ pub fn run_rank(
                 }
             }
             let (s0, s1) = block_bounds(batch.len(), opts.world, opts.rank);
-            let mut block = Vec::with_capacity(s1 - s0);
-            for &i in &batch[s0..s1] {
-                let (loss, ok) = process_sample(net, data, i, &mut ws);
-                flatten_grads(&ws, &mut flat);
-                block.push(SampleGrad {
-                    grads: flat.clone(),
-                    loss,
-                    correct: ok,
-                    sparsity: conv_layers.iter().map(|&li| ws.grad_sparsity[li]).collect(),
-                });
+            for (slot, &i) in block.iter_mut().zip(&batch[s0..s1]) {
+                let (loss, correct) = process_sample(net, data, i, &mut ws);
+                slot.capture(&ws, loss, correct);
             }
             let batch_u32 = u32::try_from(batch_no).expect("batch index fits u32");
-            let acc = match comm {
-                Comm::Solo => {
-                    let mut link = RingLink {
-                        rank: 0,
-                        world: 1,
-                        rx_prev: &mut std::io::empty(),
-                        tx_next: &mut std::io::sink(),
-                    };
-                    ring_allreduce(
-                        &mut link,
-                        epoch_u32,
-                        batch_u32,
-                        &block,
-                        grad_len,
-                        conv_layers.len(),
-                        opts.chunk_floats,
-                    )?
-                }
-                Comm::Ring { rx_prev, tx_next } => {
-                    let mut link = RingLink {
-                        rank: opts.rank,
-                        world: opts.world,
-                        rx_prev: rx_prev.as_mut(),
-                        tx_next: tx_next.as_mut(),
-                    };
-                    ring_allreduce(
-                        &mut link,
-                        epoch_u32,
-                        batch_u32,
-                        &block,
-                        grad_len,
-                        conv_layers.len(),
-                        opts.chunk_floats,
-                    )?
-                }
-                Comm::Mesh(links) => tree_allreduce(
-                    opts.rank,
-                    opts.world,
-                    links,
-                    epoch_u32,
-                    batch_u32,
-                    &block,
-                    grad_len,
-                    conv_layers.len(),
-                    opts.chunk_floats,
-                )?,
-            };
-
+            ring_allreduce(
+                &mut link,
+                epoch_u32,
+                batch_u32,
+                &block[..s1 - s0],
+                &mut acc,
+                opts.chunk_floats,
+            )?;
             // Same order as the pool: absorb into the epoch accumulator,
             // then apply the update.
-            loss_sum += acc.loss_sum;
-            correct += usize::try_from(acc.correct).expect("correct count fits usize");
-            for (dst, src) in sparsity_sums.iter_mut().zip(&acc.sparsity_sums) {
-                *dst += src;
-            }
-            samples_seen += batch.len();
-            apply_batch(net, &mut velocity, &acc, batch.len(), &counts, trainer);
-
-            // Commit: everything a replay needs to resume from *after*
-            // this batch.
-            state.committed_batches += 1;
-            state.next_epoch = epoch;
-            state.next_batch = batch_no + 1;
-            state.weights.clear();
-            io::save_weights(net, &mut state.weights).expect("in-memory weight snapshot");
-            state.velocity.clone_from(&velocity);
-            state.epoch_loss_sum = loss_sum;
-            state.epoch_correct = correct;
-            state.epoch_sparsity_sums.clone_from(&sparsity_sums);
-            state.epoch_samples = samples_seen;
+            epoch_acc.absorb(&acc, batch.len());
+            apply_batch(trainer, net, &mut velocity, &acc, batch.len());
+            state.commit(net, &velocity, &epoch_acc, epoch, batch_no);
         }
 
-        // The pool's `EpochAcc::into_stats` expressions, verbatim.
-        let stats = EpochStats {
-            epoch,
-            mean_loss: loss_sum / data.len() as f64,
-            accuracy: correct as f64 / data.len() as f64,
-            conv_grad_sparsity: sparsity_sums
-                .iter()
-                .map(|s| s / samples_seen.max(1) as f64)
-                .collect(),
-            images_per_sec: data.len() as f64 / start.elapsed().as_secs_f64().max(1e-9),
-        };
-        state.stats.push(stats);
+        state.stats.push(epoch_acc.into_stats(epoch, data.len(), start.elapsed().as_secs_f64()));
         state.next_epoch = epoch + 1;
         state.next_batch = 0;
         state.epoch_loss_sum = 0.0;
@@ -422,12 +303,10 @@ pub fn run_rank(
 pub struct InProcTrainOptions {
     /// Rank count.
     pub world: usize,
-    /// All-reduce algorithm.
-    pub algo: AllReduce,
     /// Floats per wire chunk.
     pub chunk_floats: usize,
-    /// How many whole-cluster replays a mid-all-reduce fault may burn
-    /// before the typed error surfaces to the caller.
+    /// How many whole-cluster replays a mid-all-reduce fault (or a rank
+    /// panic) may burn before the typed error surfaces to the caller.
     pub restart_budget: usize,
     /// Base backoff before a replay (doubles per consecutive restart).
     pub restart_backoff: Duration,
@@ -440,8 +319,7 @@ impl Default for InProcTrainOptions {
     fn default() -> Self {
         InProcTrainOptions {
             world: 2,
-            algo: AllReduce::Ring,
-            chunk_floats: 1024,
+            chunk_floats: DEFAULT_CHUNK_FLOATS,
             restart_budget: 2,
             restart_backoff: Duration::from_millis(1),
             fault: None,
@@ -453,6 +331,9 @@ impl Default for InProcTrainOptions {
 /// `r` is `(rx_prev, tx_next)` for rank `r`.
 fn ring_fabric(world: usize) -> std::io::Result<Vec<Comm>> {
     use std::os::unix::net::UnixStream;
+    if world == 1 {
+        return Ok(vec![Comm::Solo]);
+    }
     let mut txs: Vec<Option<UnixStream>> = (0..world).map(|_| None).collect();
     let mut rxs: Vec<Option<UnixStream>> = (0..world).map(|_| None).collect();
     for r in 0..world {
@@ -470,23 +351,9 @@ fn ring_fabric(world: usize) -> std::io::Result<Vec<Comm>> {
         .collect())
 }
 
-/// Builds the socketpair mesh for the tree algorithm.
-fn mesh_fabric(world: usize) -> std::io::Result<Vec<Comm>> {
-    use std::os::unix::net::UnixStream;
-    let mut links: Vec<Vec<Option<Box<dyn PeerLink + Send>>>> =
-        (0..world).map(|_| (0..world).map(|_| None).collect()).collect();
-    let pairs = (0..world).flat_map(|a| (a + 1..world).map(move |b| (a, b)));
-    for (a, b) in pairs {
-        let (sa, sb) = UnixStream::pair()?;
-        links[a][b] = Some(Box::new(sa));
-        links[b][a] = Some(Box::new(sb));
-    }
-    Ok(links.into_iter().map(Comm::Mesh).collect())
-}
-
 /// Trains `world` in-process ranks (threads over Unix socketpairs) with
 /// synchronous data-parallel SGD, recovering deterministically from
-/// mid-all-reduce faults.
+/// mid-all-reduce faults and rank panics.
 ///
 /// `factory` must deterministically construct the *same* initial
 /// network on every call (e.g. seeded construction); every rank also
@@ -497,13 +364,16 @@ fn mesh_fabric(world: usize) -> std::io::Result<Vec<Comm>> {
 /// # Errors
 ///
 /// The typed fault of the first failing rank once the restart budget is
-/// spent; [`ClusterError::Config`] for topology/factory errors.
+/// spent — [`ClusterError::RankPanic`] for a rank that panicked;
+/// [`ClusterError::Config`] for an invalid `trainer`, topology or
+/// factory errors.
 pub fn train_in_proc(
     factory: &(dyn Fn() -> Result<Network, spg_error::Error> + Sync),
     data: &Dataset,
     trainer: &TrainerConfig,
     opts: &InProcTrainOptions,
 ) -> Result<Vec<EpochStats>, ClusterError> {
+    trainer.validate().map_err(|detail| ClusterError::Config { detail })?;
     if opts.world == 0 {
         return Err(ClusterError::Config { detail: "world size must be positive".to_string() });
     }
@@ -515,33 +385,25 @@ pub fn train_in_proc(
 
     for attempt in 0..=opts.restart_budget {
         let fault = if attempt == 0 { opts.fault } else { None };
-        let fabrics: Vec<Comm> = if opts.world == 1 {
-            vec![Comm::Solo]
-        } else {
-            match opts.algo {
-                AllReduce::Ring => ring_fabric(opts.world),
-                AllReduce::Tree => mesh_fabric(opts.world),
-            }
-            .map_err(|e| ClusterError::Config { detail: format!("building fabric: {e}") })?
-        };
+        let fabrics = ring_fabric(opts.world)
+            .map_err(|e| ClusterError::Config { detail: format!("building fabric: {e}") })?;
 
         let outcomes: Vec<(RankState, Result<Vec<EpochStats>, ClusterError>)> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = fabrics
                     .into_iter()
+                    .zip(&states)
                     .enumerate()
-                    .zip(states.iter())
-                    .map(|((rank, mut comm), state)| {
+                    .map(|(rank, (mut comm, state))| {
                         let mut state = state.clone();
                         let mut data = data.clone();
+                        let opts = RankOptions {
+                            rank,
+                            world: opts.world,
+                            chunk_floats: opts.chunk_floats,
+                            fault,
+                        };
                         scope.spawn(move || {
-                            let opts = RankOptions {
-                                rank,
-                                world: opts.world,
-                                algo: opts.algo,
-                                chunk_floats: opts.chunk_floats,
-                                fault,
-                            };
                             let result = match factory() {
                                 Ok(mut net) => run_rank(
                                     &mut net, &mut data, trainer, &opts, &mut comm, &mut state,
@@ -554,15 +416,29 @@ pub fn train_in_proc(
                         })
                     })
                     .collect();
-                handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
+                // A panicking rank drops its links while unwinding, so its
+                // neighbors fail with ring faults instead of hanging. Its
+                // own state may be mid-commit: it replays from the state
+                // it was spawned with.
+                handles
+                    .into_iter()
+                    .zip(&states)
+                    .enumerate()
+                    .map(|(rank, (h, spawned))| {
+                        h.join().unwrap_or_else(|payload| {
+                            let message = spg_sync::panic_message(payload.as_ref());
+                            (spawned.clone(), Err(ClusterError::RankPanic { rank, message }))
+                        })
+                    })
+                    .collect()
             });
-
-        let mut first_err = None;
-        for (_, result) in &outcomes {
-            if let Err(e) = result {
-                first_err.get_or_insert_with(|| e.clone());
-            }
-        }
+        // A rank panic is the root cause of its neighbors' ring faults.
+        let errors = outcomes.iter().filter_map(|(_, result)| result.as_ref().err());
+        let first_err = errors
+            .clone()
+            .find(|e| matches!(e, ClusterError::RankPanic { .. }))
+            .or_else(|| errors.clone().next())
+            .cloned();
         match first_err {
             None => {
                 // All ranks finished; they must agree bit-for-bit.
@@ -641,14 +517,18 @@ mod tests {
         Dataset::synthetic(Shape3::new(1, 8, 8), 3, 24, 0.15, 77)
     }
 
-    fn trainer_cfg() -> TrainerConfig {
-        TrainerConfig { epochs: 3, momentum: 0.9, batch_size: 8, ..TrainerConfig::default() }
+    /// Velocity coefficients covering both update branches: plain SGD
+    /// (0) and the velocity update.
+    const MOMENTA: [f32; 2] = [0.0, 0.9];
+
+    fn trainer_cfg(m: f32) -> TrainerConfig {
+        TrainerConfig { epochs: 3, momentum: m, batch_size: 8, ..TrainerConfig::default() }
     }
 
-    fn pool_loss_bits() -> Vec<u64> {
+    fn pool_loss_bits(m: f32) -> Vec<u64> {
         let mut net = make_net().unwrap();
         let mut data = make_data();
-        Trainer::new(trainer_cfg())
+        Trainer::new(trainer_cfg(m))
             .train(&mut net, &mut data)
             .iter()
             .map(|s| s.mean_loss.to_bits())
@@ -673,48 +553,39 @@ mod tests {
 
     #[test]
     fn ring_cluster_is_bit_identical_to_the_pool() {
-        let expect = pool_loss_bits();
-        for world in [1usize, 2, 3, 4] {
-            let opts = InProcTrainOptions { world, ..Default::default() };
-            let stats = train_in_proc(&make_net, &make_data(), &trainer_cfg(), &opts).unwrap();
-            let got: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
-            assert_eq!(got, expect, "world {world} diverged from the single-process pool");
+        for m in MOMENTA {
+            let expect = pool_loss_bits(m);
+            for world in [1usize, 2, 3, 4] {
+                let opts = InProcTrainOptions { world, ..Default::default() };
+                let stats = train_in_proc(&make_net, &make_data(), &trainer_cfg(m), &opts).unwrap();
+                let got: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
+                assert_eq!(got, expect, "world {world} diverged from the pool (m = {m})");
+            }
         }
     }
 
     #[test]
     fn small_chunks_do_not_change_the_bits() {
-        let expect = pool_loss_bits();
+        let expect = pool_loss_bits(0.9);
         let opts = InProcTrainOptions { world: 3, chunk_floats: 17, ..Default::default() };
-        let stats = train_in_proc(&make_net, &make_data(), &trainer_cfg(), &opts).unwrap();
+        let stats = train_in_proc(&make_net, &make_data(), &trainer_cfg(0.9), &opts).unwrap();
         let got: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
         assert_eq!(got, expect);
     }
 
     #[test]
-    fn tree_variant_is_deterministic() {
-        let run = || {
-            let opts = InProcTrainOptions { world: 4, algo: AllReduce::Tree, ..Default::default() };
-            train_in_proc(&make_net, &make_data(), &trainer_cfg(), &opts)
-                .unwrap()
-                .iter()
-                .map(|s| s.mean_loss.to_bits())
-                .collect::<Vec<u64>>()
-        };
-        assert_eq!(run(), run(), "tree all-reduce must be run-to-run deterministic");
-    }
-
-    #[test]
     fn mid_allreduce_fault_recovers_bit_identically() {
-        let expect = pool_loss_bits();
-        let opts = InProcTrainOptions {
-            world: 3,
-            fault: Some(TrainFault { rank: 1, epoch: 2, batch: 1 }),
-            ..Default::default()
-        };
-        let stats = train_in_proc(&make_net, &make_data(), &trainer_cfg(), &opts).unwrap();
-        let got: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
-        assert_eq!(got, expect, "recovered run diverged from the fault-free pool run");
+        for m in MOMENTA {
+            let expect = pool_loss_bits(m);
+            let opts = InProcTrainOptions {
+                world: 3,
+                fault: Some(TrainFault { rank: 1, epoch: 2, batch: 1 }),
+                ..Default::default()
+            };
+            let stats = train_in_proc(&make_net, &make_data(), &trainer_cfg(m), &opts).unwrap();
+            let got: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
+            assert_eq!(got, expect, "recovered run diverged from the pool (m = {m})");
+        }
     }
 
     #[test]
@@ -728,8 +599,63 @@ mod tests {
             fault: Some(TrainFault { rank: 0, epoch: 1, batch: 0 }),
             ..Default::default()
         };
-        let err = train_in_proc(&make_net, &make_data(), &trainer_cfg(), &opts).unwrap_err();
+        let err = train_in_proc(&make_net, &make_data(), &trainer_cfg(0.9), &opts).unwrap_err();
         assert!(matches!(err, ClusterError::RingFault { .. }), "expected RingFault, got {err:?}");
+    }
+
+    /// A factory that panics on its calls numbered in `panicking`
+    /// (`train_in_proc`'s seed build is call 0, then one per rank spawn).
+    fn panicking_factory(
+        panicking: std::ops::RangeFrom<usize>,
+        once: bool,
+    ) -> impl Fn() -> Result<Network, spg_error::Error> + Sync {
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        move || {
+            let n = calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            if panicking.contains(&n) && (!once || n == panicking.start) {
+                panic!("factory call {n} blew up");
+            }
+            make_net()
+        }
+    }
+
+    #[test]
+    fn rank_panic_replays_bit_identically() {
+        // Rank 1's first spawn panics; the replay (charged to the budget)
+        // must still land on the pool's bits.
+        let factory = panicking_factory(2.., true);
+        let opts = InProcTrainOptions { world: 2, ..Default::default() };
+        let stats = train_in_proc(&factory, &make_data(), &trainer_cfg(0.9), &opts).unwrap();
+        let got: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
+        assert_eq!(got, pool_loss_bits(0.9));
+    }
+
+    #[test]
+    fn persistent_rank_panic_is_a_typed_error() {
+        let factory = panicking_factory(2.., false);
+        let opts = InProcTrainOptions { world: 2, restart_budget: 1, ..Default::default() };
+        let err = train_in_proc(&factory, &make_data(), &trainer_cfg(0.9), &opts).unwrap_err();
+        match err {
+            ClusterError::RankPanic { message, .. } => {
+                assert!(message.contains("blew up"), "panic message lost: {message}");
+            }
+            other => panic!("expected RankPanic, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn invalid_trainer_config_is_a_config_error() {
+        let bad = [
+            TrainerConfig { batch_size: 0, ..trainer_cfg(0.9) },
+            TrainerConfig { epochs: 0, ..trainer_cfg(0.9) },
+            TrainerConfig { sample_threads: 0, ..trainer_cfg(0.9) },
+            trainer_cfg(1.0),
+        ];
+        for cfg in bad {
+            let opts = InProcTrainOptions::default();
+            let err = train_in_proc(&make_net, &make_data(), &cfg, &opts).unwrap_err();
+            assert!(matches!(err, ClusterError::Config { .. }), "expected Config, got {err:?}");
+        }
     }
 
     #[test]

@@ -19,6 +19,15 @@
 //! order (preserving bit-identical merges), and only fails the run with a
 //! typed [`TrainError::WorkerFault`] once
 //! [`TrainerConfig::restart_budget`] is spent.
+//!
+//! The per-batch arithmetic lives here once, as public items that the
+//! inline path, the pool and `spg-cluster`'s training ranks all call:
+//! [`process_sample`] (forward + backward), [`BatchAcc`] (the in-order
+//! batch fold), [`apply_batch`] (the update expression), [`EpochAcc`]
+//! (epoch statistics) and [`shuffle_for_epoch`] (the shuffle schedule).
+//! The distributed ranks differ from the pool only in *where* the fold
+//! runs — inside the ring all-reduce, still in global sample order — so
+//! every path produces the same bits.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -61,6 +70,31 @@ pub struct TrainerConfig {
     /// unless the `fault-injection` cargo feature is enabled; forces the
     /// pooled path even when `sample_threads == 1`.
     pub fault_plan: Option<FaultPlan>,
+}
+
+impl TrainerConfig {
+    /// Checks the invariants every training path relies on: positive
+    /// batch size, epoch count and sample thread count, and momentum in
+    /// `[0, 1)`.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violated invariant.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.batch_size == 0 {
+            return Err("batch size must be positive".to_string());
+        }
+        if self.epochs == 0 {
+            return Err("epoch count must be positive".to_string());
+        }
+        if self.sample_threads == 0 {
+            return Err("sample thread count must be positive".to_string());
+        }
+        if !(0.0..1.0).contains(&self.momentum) {
+            return Err(format!("momentum must be in [0, 1), got {}", self.momentum));
+        }
+        Ok(())
+    }
 }
 
 impl Default for TrainerConfig {
@@ -128,12 +162,11 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if `batch_size`, `epochs`, or `sample_threads` is zero.
+    /// Panics if [`TrainerConfig::validate`] rejects `config`.
     pub fn new(config: TrainerConfig) -> Self {
-        assert!(config.batch_size > 0, "batch size must be positive");
-        assert!(config.epochs > 0, "epoch count must be positive");
-        assert!(config.sample_threads > 0, "sample thread count must be positive");
-        assert!((0.0..1.0).contains(&config.momentum), "momentum must be in [0, 1)");
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         Trainer { config }
     }
 
@@ -227,28 +260,27 @@ impl Trainer {
     where
         F: FnMut(&mut Network, &EpochStats),
     {
-        let conv_layers = conv_layer_indices(net);
         let mut ws = Workspace::for_network(net);
-        let mut acc = BatchAcc::for_network(net, conv_layers.len());
+        let mut acc = BatchAcc::for_network(net);
         let mut velocity = zero_param_grads(net);
         let mut all_stats = Vec::with_capacity(self.config.epochs);
         for epoch in 1..=self.config.epochs {
             // One scope entry per epoch: `trainer` wall time / call count
             // gives total optimizer-loop time in the metrics snapshot.
             let _telemetry = spg_telemetry::scope("trainer", spg_telemetry::Phase::Other);
-            data.shuffle(self.config.shuffle_seed.wrapping_add(epoch as u64));
+            shuffle_for_epoch(data, &self.config, epoch);
             let start = Instant::now();
-            let mut epoch_acc = EpochAcc::new(conv_layers.len());
+            let mut epoch_acc = EpochAcc::new(acc.sparsity_sums.len());
 
             let indices: Vec<usize> = (0..data.len()).collect();
             for batch in indices.chunks(self.config.batch_size) {
                 acc.reset();
                 for &i in batch {
                     let (loss, correct) = process_sample(net, data, i, &mut ws);
-                    acc.absorb(loss, correct, &ws.param_grads, &ws.grad_sparsity, &conv_layers);
+                    acc.absorb(loss, correct, &ws.param_grads, &ws.grad_sparsity);
                 }
                 epoch_acc.absorb(&acc, batch.len());
-                self.apply_batch(net, &mut velocity, &acc, batch.len());
+                apply_batch(&self.config, net, &mut velocity, &acc, batch.len());
             }
 
             let stats = epoch_acc.into_stats(epoch, data.len(), start.elapsed().as_secs_f64());
@@ -277,7 +309,6 @@ impl Trainer {
     where
         F: FnMut(&mut Network, &EpochStats),
     {
-        let conv_layers = conv_layer_indices(net);
         // Batch-starvation clamp: jobs round-robin as `j % workers`, so a
         // pool wider than the batch leaves slots that never receive a
         // sample — they would be spawned, idle for the whole run, and
@@ -288,7 +319,7 @@ impl Trainer {
         if starved > 0 {
             spg_telemetry::record_counter("train.starved_workers", starved as u64);
         }
-        let mut acc = BatchAcc::for_network(net, conv_layers.len());
+        let mut acc = BatchAcc::for_network(net);
         let mut velocity = zero_param_grads(net);
         // Enough result slots that a full batch can be in flight.
         let mut free: Vec<SampleResult> = (0..self.config.batch_size.max(workers))
@@ -366,11 +397,11 @@ impl Trainer {
                 let _telemetry = spg_telemetry::scope("trainer", spg_telemetry::Phase::Other);
                 let data_len = {
                     let mut data = spg_sync::write(&data_lock);
-                    data.shuffle(self.config.shuffle_seed.wrapping_add(epoch as u64));
+                    shuffle_for_epoch(&mut data, &self.config, epoch);
                     data.len()
                 };
                 let start = Instant::now();
-                let mut epoch_acc = EpochAcc::new(conv_layers.len());
+                let mut epoch_acc = EpochAcc::new(acc.sparsity_sums.len());
 
                 let indices: Vec<usize> = (0..data_len).collect();
                 for (batch_no, batch) in indices.chunks(self.config.batch_size).enumerate() {
@@ -395,13 +426,7 @@ impl Trainer {
                         let w = j % workers;
                         match result_rxs[w].recv() {
                             Ok(Ok(r)) => {
-                                acc.absorb(
-                                    r.loss,
-                                    r.correct,
-                                    &r.param_grads,
-                                    &r.grad_sparsity,
-                                    &conv_layers,
-                                );
+                                acc.absorb(r.loss, r.correct, &r.param_grads, &r.grad_sparsity);
                                 free.push(r);
                                 j += 1;
                             }
@@ -462,7 +487,7 @@ impl Trainer {
                     }
                     epoch_acc.absorb(&acc, batch.len());
                     let mut net = spg_sync::write(&net_lock);
-                    self.apply_batch(&mut net, &mut velocity, &acc, batch.len());
+                    apply_batch(&self.config, &mut net, &mut velocity, &acc, batch.len());
                 }
 
                 let stats = epoch_acc.into_stats(epoch, data_len, start.elapsed().as_secs_f64());
@@ -478,43 +503,52 @@ impl Trainer {
             Ok(all_stats)
         })
     }
+}
 
-    /// Applies one batch's accumulated gradients (with optional momentum).
-    fn apply_batch(
-        &self,
-        net: &mut Network,
-        velocity: &mut [Tensor],
-        acc: &BatchAcc,
-        batch_len: usize,
-    ) {
-        let scale = batch_len as f32;
-        if self.config.momentum > 0.0 {
-            for (v, g) in velocity.iter_mut().zip(&acc.grads) {
-                for (v, g) in v.iter_mut().zip(g.iter()) {
-                    *v = self.config.momentum * *v + g / scale;
-                }
+/// Shuffles `data` for `epoch` (1-based) with the configured seed.
+/// Shuffles compose in place across epochs, so a run resumed at epoch
+/// `e` must first replay epochs `1..e` on the original order.
+pub fn shuffle_for_epoch(data: &mut Dataset, config: &TrainerConfig, epoch: usize) {
+    data.shuffle(config.shuffle_seed.wrapping_add(epoch as u64));
+}
+
+/// Applies one batch's accumulated gradients: plain SGD, or the momentum
+/// update `v = momentum * v + grad / batch_len; params -= lr * v`.
+pub fn apply_batch(
+    config: &TrainerConfig,
+    net: &mut Network,
+    velocity: &mut [Tensor],
+    acc: &BatchAcc,
+    batch_len: usize,
+) {
+    let scale = batch_len as f32;
+    if config.momentum > 0.0 {
+        for (v, g) in velocity.iter_mut().zip(&acc.grads) {
+            for (v, g) in v.iter_mut().zip(g.iter()) {
+                *v = config.momentum * *v + g / scale;
             }
-            net.apply_gradient_slices(velocity, self.config.learning_rate, 1.0);
-        } else {
-            net.apply_gradient_slices(&acc.grads, self.config.learning_rate, scale);
         }
+        net.apply_gradient_slices(velocity, config.learning_rate, 1.0);
+    } else {
+        net.apply_gradient_slices(&acc.grads, config.learning_rate, scale);
     }
 }
 
 /// Indices of the conv layers (the Fig. 3b sparsity series).
-fn conv_layer_indices(net: &Network) -> Vec<usize> {
+pub fn conv_layer_indices(net: &Network) -> Vec<usize> {
     net.layers().iter().enumerate().filter_map(|(i, l)| l.conv_spec().map(|_| i)).collect()
 }
 
 /// One zeroed parameter-gradient-shaped tensor per layer (empty for
-/// parameter-free layers).
-fn zero_param_grads(net: &Network) -> Vec<Tensor> {
+/// parameter-free layers) — the shape of gradients and of the momentum
+/// velocity.
+pub fn zero_param_grads(net: &Network) -> Vec<Tensor> {
     net.layers().iter().map(|l| Tensor::zeros(l.param_count())).collect()
 }
 
 /// Runs one sample forward + backward inside `ws`, returning its loss and
 /// whether the prediction was correct.
-fn process_sample(net: &Network, data: &Dataset, i: usize, ws: &mut Workspace) -> (f32, bool) {
+pub fn process_sample(net: &Network, data: &Dataset, i: usize, ws: &mut Workspace) -> (f32, bool) {
     net.forward_into(data.image(i).as_slice(), ws);
     let label = data.label(i);
     let (loss, loss_grad) = Network::loss_and_gradient(ws.trace.logits(), label);
@@ -524,18 +558,26 @@ fn process_sample(net: &Network, data: &Dataset, i: usize, ws: &mut Workspace) -
     (loss, pred == label)
 }
 
-/// One sample's results, shuttled main -> worker -> main and recycled; the
-/// buffers are copied out of the worker's [`Workspace`] so the worker can
-/// start its next sample while the main thread merges.
-struct SampleResult {
-    loss: f32,
-    correct: bool,
-    param_grads: Vec<Tensor>,
-    grad_sparsity: Vec<f64>,
+/// One sample's results, copied out of the [`Workspace`] that computed
+/// them and recycled across batches: the pool shuttles them main ->
+/// worker -> main so a worker can start its next sample while the main
+/// thread merges, and a cluster rank holds its block's samples until
+/// the all-reduce folds them.
+#[derive(Debug)]
+pub struct SampleResult {
+    /// Cross-entropy loss.
+    pub loss: f32,
+    /// Whether the prediction was correct.
+    pub correct: bool,
+    /// Parameter gradients, one tensor per layer.
+    pub param_grads: Vec<Tensor>,
+    /// Backward gradient sparsity per layer.
+    pub grad_sparsity: Vec<f64>,
 }
 
 impl SampleResult {
-    fn for_network(net: &Network) -> Self {
+    /// Zeroed buffers shaped for `net`.
+    pub fn for_network(net: &Network) -> Self {
         SampleResult {
             loss: 0.0,
             correct: false,
@@ -544,7 +586,9 @@ impl SampleResult {
         }
     }
 
-    fn capture(&mut self, ws: &Workspace, loss: f32, correct: bool) {
+    /// Copies the gradients of the sample `ws` just processed, without
+    /// allocating.
+    pub fn capture(&mut self, ws: &Workspace, loss: f32, correct: bool) {
         self.loss = loss;
         self.correct = correct;
         for (dst, src) in self.param_grads.iter_mut().zip(&ws.param_grads) {
@@ -554,25 +598,37 @@ impl SampleResult {
     }
 }
 
-/// Per-batch accumulator, reset and refilled every batch.
-struct BatchAcc {
-    grads: Vec<Tensor>,
-    loss_sum: f64,
-    correct: usize,
-    sparsity_sums: Vec<f64>,
+/// Per-batch accumulator, reset and refilled every batch. Samples fold
+/// in batch order, so the f32 association — and every rounding — is
+/// fixed by the batch, not by who computed which sample.
+#[derive(Debug)]
+pub struct BatchAcc {
+    /// Summed parameter gradients, one tensor per layer.
+    pub grads: Vec<Tensor>,
+    /// Summed losses.
+    pub loss_sum: f64,
+    /// Correct-prediction count.
+    pub correct: usize,
+    /// Summed gradient sparsity per conv layer.
+    pub sparsity_sums: Vec<f64>,
+    conv_layers: Vec<usize>,
 }
 
 impl BatchAcc {
-    fn for_network(net: &Network, conv_count: usize) -> Self {
+    /// A zeroed accumulator shaped for `net`.
+    pub fn for_network(net: &Network) -> Self {
+        let conv_layers = conv_layer_indices(net);
         BatchAcc {
             grads: zero_param_grads(net),
             loss_sum: 0.0,
             correct: 0,
-            sparsity_sums: vec![0.0; conv_count],
+            sparsity_sums: vec![0.0; conv_layers.len()],
+            conv_layers,
         }
     }
 
-    fn reset(&mut self) {
+    /// Zeroes every sum.
+    pub fn reset(&mut self) {
         for g in &mut self.grads {
             g.as_mut_slice().fill(0.0);
         }
@@ -581,55 +637,69 @@ impl BatchAcc {
         self.sparsity_sums.fill(0.0);
     }
 
-    fn absorb(
+    /// Folds one sample in: its scalars and its per-layer gradients.
+    pub fn absorb(
         &mut self,
         loss: f32,
         correct: bool,
         param_grads: &[Tensor],
         grad_sparsity: &[f64],
-        conv_layers: &[usize],
     ) {
-        self.loss_sum += loss as f64;
-        self.correct += correct as usize;
+        self.absorb_scalars(loss, correct, grad_sparsity);
         for (acc, g) in self.grads.iter_mut().zip(param_grads) {
             for (a, v) in acc.iter_mut().zip(g.iter()) {
                 *a += v;
             }
         }
-        for (dst, &li) in self.sparsity_sums.iter_mut().zip(conv_layers) {
+    }
+
+    /// Folds one sample's loss, correctness and conv-layer sparsities in,
+    /// leaving the gradients to a caller that folds them piecewise.
+    pub fn absorb_scalars(&mut self, loss: f32, correct: bool, grad_sparsity: &[f64]) {
+        self.loss_sum += f64::from(loss);
+        self.correct += usize::from(correct);
+        for (dst, &li) in self.sparsity_sums.iter_mut().zip(&self.conv_layers) {
             *dst += grad_sparsity[li];
         }
     }
 }
 
 /// Per-epoch accumulator over the batch accumulators.
-struct EpochAcc {
-    loss_sum: f64,
-    correct: usize,
-    sparsity_sums: Vec<f64>,
-    sparsity_count: usize,
+#[derive(Debug)]
+pub struct EpochAcc {
+    /// Summed losses.
+    pub loss_sum: f64,
+    /// Correct-prediction count.
+    pub correct: usize,
+    /// Summed gradient sparsity per conv layer.
+    pub sparsity_sums: Vec<f64>,
+    /// Samples absorbed.
+    pub samples_seen: usize,
 }
 
 impl EpochAcc {
-    fn new(conv_count: usize) -> Self {
+    /// A zeroed accumulator for `conv_count` conv layers.
+    pub fn new(conv_count: usize) -> Self {
         EpochAcc {
             loss_sum: 0.0,
             correct: 0,
             sparsity_sums: vec![0.0; conv_count],
-            sparsity_count: 0,
+            samples_seen: 0,
         }
     }
 
-    fn absorb(&mut self, acc: &BatchAcc, batch_len: usize) {
+    /// Adds one finished batch of `batch_len` samples.
+    pub fn absorb(&mut self, acc: &BatchAcc, batch_len: usize) {
         self.loss_sum += acc.loss_sum;
         self.correct += acc.correct;
         for (dst, src) in self.sparsity_sums.iter_mut().zip(&acc.sparsity_sums) {
             *dst += src;
         }
-        self.sparsity_count += batch_len;
+        self.samples_seen += batch_len;
     }
 
-    fn into_stats(self, epoch: usize, samples: usize, elapsed: f64) -> EpochStats {
+    /// The epoch's statistics over `samples` images in `elapsed` seconds.
+    pub fn into_stats(self, epoch: usize, samples: usize, elapsed: f64) -> EpochStats {
         EpochStats {
             epoch,
             mean_loss: self.loss_sum / samples as f64,
@@ -637,7 +707,7 @@ impl EpochAcc {
             conv_grad_sparsity: self
                 .sparsity_sums
                 .iter()
-                .map(|s| s / self.sparsity_count.max(1) as f64)
+                .map(|s| s / self.samples_seen.max(1) as f64)
                 .collect(),
             images_per_sec: samples as f64 / elapsed.max(1e-9),
         }

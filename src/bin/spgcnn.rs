@@ -21,8 +21,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use spg_cnn::cluster::{
-    run_rank, serve_connection, train_in_proc, AllReduce, Cluster, ClusterError, Comm,
-    ConnectionEnd, InProcTrainOptions, KillDrill, RankOptions, RankState, TrainFault, Transport,
+    run_rank, serve_connection, train_in_proc, Cluster, ClusterError, Comm, ConnectionEnd,
+    InProcTrainOptions, KillDrill, RankOptions, RankState, TrainFault, Transport,
+    DEFAULT_CHUNK_FLOATS,
 };
 use spg_cnn::convnet::data::Dataset;
 use spg_cnn::convnet::{io, ConvSpec, Engine, Trainer, TrainerConfig};
@@ -111,18 +112,18 @@ usage:
       requests and checks exactly one in-flight request fails with a
       typed ShardFault while the router evicts and respawns the shard.
   spgcnn train-cluster <net.cfg>|--smoke [--world N] [--epochs N] [--samples N]
-               [--batch N] [--in-proc] [--algo ring|tree]
+               [--batch N] [--in-proc]
                [--inject-fault RANK:EPOCH:BATCH] [--metrics-json FILE]
       Synchronous data-parallel SGD over N rank processes connected in
       a Unix-socket ring (or in-process ranks with --in-proc), running
-      the from-scratch chunked gradient all-reduce; asserts every
-      rank's epoch losses are bit-identical to the single-process SGD
-      pool on the same seed. --inject-fault (in-proc ring only) drops a
-      rank mid-all-reduce and checks the replay still matches the pool.
+      the from-scratch chunked ring all-reduce; asserts every rank's
+      epoch losses are bit-identical to the single-process SGD pool on
+      the same seed. --inject-fault (in-proc only) drops a rank
+      mid-all-reduce and checks the replay still matches the pool.
   spgcnn bench-cluster [--json FILE] [--gradient-mb MB] [--step-ms MS]
       Print the analytical multi-node scaling curves (1..64 nodes) of
-      the ring and binomial-tree all-reduce on loopback and 10 GbE
-      fabrics; with --json, write the spgcnn-bench-cluster document
+      the ring and a modeled binomial-tree all-reduce on loopback and
+      10 GbE fabrics; with --json, write the spgcnn-bench-cluster document
       (the committed BENCH_cluster.json scaling baseline).
   spgcnn race [--smoke]
       Run the spg-race deterministic-interleaving model checker over the
@@ -1363,11 +1364,6 @@ fn train_cluster(args: &[String]) -> Result<(), String> {
     let batch = flag(args, "--batch", 8usize)?.max(1);
     let in_proc = args.iter().any(|a| a == "--in-proc");
     let metrics_path = opt_flag(args, "--metrics-json")?;
-    let algo = match opt_flag(args, "--algo")?.as_deref() {
-        None | Some("ring") => AllReduce::Ring,
-        Some("tree") => AllReduce::Tree,
-        Some(other) => return Err(format!("unknown all-reduce `{other}` (expected ring or tree)")),
-    };
     let fault = match opt_flag(args, "--inject-fault")? {
         None => None,
         Some(spec) => {
@@ -1376,12 +1372,6 @@ fn train_cluster(args: &[String]) -> Result<(), String> {
     };
     if fault.is_some() && !in_proc {
         return Err("--inject-fault drills the in-proc ring; add --in-proc".into());
-    }
-    if fault.is_some() && matches!(algo, AllReduce::Tree) {
-        return Err("--inject-fault asserts pool bit-identity; use the default ring".into());
-    }
-    if matches!(algo, AllReduce::Tree) && !in_proc {
-        return Err("the multi-process smoke runs the ring; use --algo tree with --in-proc".into());
     }
 
     spg_cnn::telemetry::reset();
@@ -1415,54 +1405,30 @@ fn train_cluster(args: &[String]) -> Result<(), String> {
             d.build(42).map_err(|e| bad(e.to_string()))
         };
         let data = Dataset::synthetic(shape, classes, samples, 0.15, 77);
-        let (stats, again_bits) = if fault.is_some() {
+        let stats = if fault.is_some() {
             let opts = InProcTrainOptions {
                 world,
-                algo,
-                chunk_floats: 1024,
-                restart_budget: 2,
                 restart_backoff: Duration::from_millis(5),
                 fault,
+                ..InProcTrainOptions::default()
             };
-            (train_in_proc(&factory, &data, &trainer, &opts).map_err(|e| e.to_string())?, None)
+            train_in_proc(&factory, &data, &trainer, &opts).map_err(|e| e.to_string())?
         } else {
-            let cluster = Cluster::builder()
+            Cluster::builder()
                 .shards(world)
-                .allreduce(algo)
-                .chunk_floats(1024)
                 .factory(factory)
                 .build()
-                .map_err(|e| e.to_string())?;
-            let stats = cluster.train(&data, &trainer).map_err(|e| e.to_string())?;
-            let again = if matches!(algo, AllReduce::Tree) {
-                let rerun = cluster.train(&data, &trainer).map_err(|e| e.to_string())?;
-                Some(rerun.iter().map(|s| s.mean_loss.to_bits()).collect::<Vec<u64>>())
-            } else {
-                None
-            };
-            (stats, again)
+                .and_then(|cluster| cluster.train(&data, &trainer))
+                .map_err(|e| e.to_string())?
         };
         let bits: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
-        match algo {
-            AllReduce::Ring => {
-                if bits != ref_bits {
-                    return Err("cluster epoch losses diverged from the single-process pool".into());
-                }
-                println!(
-                    "in-proc ring over {world} rank(s): epoch losses bit-identical to the \
-                     single-process pool"
-                );
-            }
-            AllReduce::Tree => {
-                if again_bits.as_deref() != Some(&bits[..]) {
-                    return Err("tree all-reduce was not deterministic across runs".into());
-                }
-                println!(
-                    "in-proc tree over {world} rank(s): deterministic across runs \
-                     (re-associated, so not pool-identical by design)"
-                );
-            }
+        if bits != ref_bits {
+            return Err("cluster epoch losses diverged from the single-process pool".into());
         }
+        println!(
+            "in-proc ring over {world} rank(s): epoch losses bit-identical to the \
+             single-process pool"
+        );
         if fault.is_some() {
             let snap = spg_cnn::telemetry::snapshot();
             if snap.counter("cluster.train.faults") == 0 {
@@ -1572,7 +1538,7 @@ fn cluster_rank(args: &[String]) -> Result<(), String> {
         let (rx, _) = listener.accept().map_err(|e| e.to_string())?;
         Comm::Ring { rx_prev: Box::new(rx), tx_next: Box::new(tx) }
     };
-    let opts = RankOptions { rank, world, algo: AllReduce::Ring, chunk_floats: 1024, fault: None };
+    let opts = RankOptions { rank, world, chunk_floats: DEFAULT_CHUNK_FLOATS, fault: None };
     let mut state = RankState::fresh(&net);
     let stats = run_rank(&mut net, &mut data, &trainer, &opts, &mut comm, &mut state)
         .map_err(|e| e.to_string())?;
